@@ -3,18 +3,18 @@
 
 Runs the SimAnneal scaling benchmark with a small budget, writes
 ``benchmarks/artifacts/BENCH_simanneal.json`` and exits non-zero when
-the vectorized batch kernel fails to beat the legacy serial loop at
-24 sites -- the canary for performance regressions in the annealer.
-Also measures the observability layer's overhead on the ``par_check``
-flow (``benchmarks/artifacts/BENCH_obs.json``) and fails when the
+the process-parallel annealer diverges from the batch kernel.  Also
+measures the observability layer's overhead on the ``par_check`` flow
+(``benchmarks/artifacts/BENCH_obs.json``) and fails when the
 disabled-mode no-op path costs more than 2% of the flow, and the
 design service's cache + warm-worker-pool load benchmarks
-(``benchmarks/artifacts/BENCH_service.json``), failing when the warm
-pool beats process-per-job by less than 3x on a 50-job burst, and the
-learned-guidance flywheel (``benchmarks/artifacts/BENCH_learn.json``),
-failing when the surrogate's held-out AUC drops below 0.85, ranked
-screening beats the unguided scan by less than 1.5x, or a library
-sweep with collection enabled changes any verdict.
+(``benchmarks/artifacts/BENCH_service.json``), failing when a warm
+memo hit is less than 100x faster than a cold run or the warm pool
+drops burst jobs, and the learned-guidance flywheel
+(``benchmarks/artifacts/BENCH_learn.json``), failing when the
+surrogate's held-out AUC drops below 0.85, ranked screening beats the
+unguided scan by less than 1.5x, or a library sweep with collection
+enabled changes any verdict.
 
 Usage::
 
@@ -47,7 +47,6 @@ from repro.obs.perfbench import (  # noqa: E402
 )
 from repro.service.perfbench import (  # noqa: E402
     MEMO_SPEEDUP_LIMIT,
-    POOL_SPEEDUP_LIMIT,
     run_service_cache_benchmark,
     run_service_load_benchmark,
     write_benchmark_json as write_service_json,
@@ -100,25 +99,14 @@ def main() -> int:
 
     failures = []
     for point in record["points"]:
-        line = (
+        print(
             f"  {point['num_sites']:>3} sites: "
-            f"serial {point['serial_seconds']:.3f}s  "
             f"batch {point['batch_seconds']:.3f}s  "
-            f"parallel {point['parallel_seconds']:.3f}s  "
-            f"speedup {point['speedup_batch_over_serial']:.1f}x"
+            f"parallel {point['parallel_seconds']:.3f}s"
         )
-        print(line)
         if not point["parallel_matches_batch"]:
             failures.append(
                 f"parallel diverged from batch at {point['num_sites']} sites"
-            )
-        if (
-            point["num_sites"] == GATE_SIZE
-            and point["speedup_batch_over_serial"] < 1.0
-        ):
-            failures.append(
-                f"batch kernel slower than the serial loop at {GATE_SIZE} "
-                f"sites ({point['speedup_batch_over_serial']:.2f}x)"
             )
     print(f"  artifact: {path}")
 
@@ -220,10 +208,7 @@ def main() -> int:
         f"({load_record['burst_jobs']} jobs, "
         f"{load_record['workers']} workers): "
         f"warm {load_record['warm_wall_seconds']:.2f}s "
-        f"({load_record['warm_jobs_per_second']:.0f} jobs/s)  "
-        f"process-per-job {load_record['cold_wall_seconds']:.2f}s "
-        f"({load_record['cold_jobs_per_second']:.1f} jobs/s)  "
-        f"speedup {load_record['pool_speedup']:.1f}x"
+        f"({load_record['warm_jobs_per_second']:.0f} jobs/s)"
     )
     for level in load_record["saturation"]:
         print(
@@ -239,12 +224,6 @@ def main() -> int:
             f"service warm memo hit only "
             f"{service_record['memo_speedup']:.0f}x faster than cold "
             f"(limit {MEMO_SPEEDUP_LIMIT:.0f}x)"
-        )
-    if load_record["pool_speedup"] < POOL_SPEEDUP_LIMIT:
-        failures.append(
-            f"warm pool only {load_record['pool_speedup']:.1f}x faster "
-            f"than process-per-job on the {load_record['burst_jobs']}-job "
-            f"burst (limit {POOL_SPEEDUP_LIMIT:.0f}x)"
         )
     if load_record["warm_completed"] < load_record["burst_jobs"]:
         failures.append(

@@ -8,32 +8,26 @@ The stable public API lives in :mod:`repro.api`::
     result = api.design("mux21")
     print(result.summary())
 
-Top-level re-exports of the flow types (``repro.design_sidb_circuit``,
-``repro.FlowConfiguration``, ``repro.DesignResult``) are deprecated in
-favor of their :mod:`repro.api` spellings; they keep working but emit a
-:class:`DeprecationWarning`.
+``repro.design`` is a shortcut for :func:`repro.api.design`; every
+other public name is imported from :mod:`repro.api`.
 """
 
 from __future__ import annotations
 
 import importlib
-import warnings
 
 __version__ = "2.0.0"
 
 __all__ = [
     "api",
     "design",
-    "DesignResult",
-    "FlowConfiguration",
-    "design_sidb_circuit",
     "package_version",
     "__version__",
 ]
 
 
 def package_version() -> str:
-    """The installed package version (``repro --version``, ``/healthz``).
+    """The installed package version (``repro --version``, ``/v1/healthz``).
 
     Sourced from the installation metadata when the package is actually
     installed; running straight from a source tree (``PYTHONPATH=src``)
@@ -46,26 +40,10 @@ def package_version() -> str:
     except Exception:
         return __version__
 
-#: Old top-level spelling -> repro.api attribute it moved to.
-_DEPRECATED = {
-    "design_sidb_circuit": "design_sidb_circuit",
-    "FlowConfiguration": "FlowConfiguration",
-    "DesignResult": "DesignResult",
-}
-
 
 def __getattr__(name: str):
     if name == "api":
         return importlib.import_module("repro.api")
     if name == "design":
         return importlib.import_module("repro.api").design
-    if name in _DEPRECATED:
-        warnings.warn(
-            f"'repro.{name}' is deprecated; "
-            f"use 'repro.api.{_DEPRECATED[name]}' instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        api = importlib.import_module("repro.api")
-        return getattr(api, _DEPRECATED[name])
     raise AttributeError(f"module 'repro' has no attribute {name!r}")

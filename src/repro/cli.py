@@ -85,7 +85,6 @@ def _configuration(args: argparse.Namespace) -> api.FlowConfiguration:
             timing=getattr(args, "timing", False),
             defects=defects,
             workers=getattr(args, "workers", 1),
-            learn=getattr(args, "learn", False),
         )
     except ValueError as error:
         raise SystemExit(str(error)) from None
@@ -549,7 +548,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
         "exact_conflict_limit": args.conflict_limit,
         "exact_time_limit_seconds": args.time_limit,
         "timing": getattr(args, "timing", False),
-        "learn": getattr(args, "learn", False),
     }
     if getattr(args, "defects", None):
         try:
@@ -654,10 +652,6 @@ def _engine_options() -> argparse.ArgumentParser:
     group.add_argument("--workers", type=int, default=1,
                        help="worker processes for parallelizable steps "
                             "(results are identical across counts)")
-    group.add_argument("--learn", action="store_true",
-                       help="collect surrogate training examples from "
-                            "this run's physics evaluations (see "
-                            "'repro learn'); never changes the result")
     return parent
 
 
@@ -856,8 +850,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Serve the JSON design API (versioned under /v1): "
                     "POST /v1/jobs, GET /v1/jobs, "
                     "GET /v1/artifacts/<digest>/<name>, GET /v1/metrics, "
-                    "GET /v1/healthz; unversioned paths remain as "
-                    "deprecated aliases.  Results are cached in the "
+                    "GET /v1/healthz; paths outside /v1 answer 404.  "
+                    "Results are cached in the "
                     "artifact store; identical in-flight submissions "
                     "share one execution.",
     )

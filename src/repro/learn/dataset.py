@@ -332,10 +332,6 @@ class ExampleCollector:
         self.flushed_shards: list[Path] = []
         self.persisted_digests: list[str] = []
 
-    @classmethod
-    def default(cls) -> "ExampleCollector":
-        return cls(default_learn_dir() / "shards")
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._examples)

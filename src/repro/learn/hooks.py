@@ -1,8 +1,9 @@
 """Process-global example-collection hooks for the physics hot paths.
 
 ``gatelib.designer.score_design`` and ``sidb.operational.check_operational``
-report every physics-labeled candidate here so flow and service jobs
-can contribute training examples as a side effect of normal work.
+report every physics-labeled candidate here so ``repro learn collect``
+and the ``--collect`` option of the gate-design scripts can gather
+training examples as a side effect of normal work.
 
 The disabled path mirrors the :mod:`repro.obs` contract: the call
 sites guard with a single module-attribute check --

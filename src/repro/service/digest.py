@@ -41,10 +41,8 @@ from repro.tech.design_rules import DesignRules
 #: ``timing`` (static timing analysis changes the persisted
 #: ``result.json`` document) and versioned the structured report.
 #: Version 4 added ``learn`` (surrogate-example collection during the
-#: flow -- the artifacts stay bit-identical, but a learn-enabled run
-#: performs side-effectful collection a cached hit would silently
-#: skip, so the two must not share a digest).
-DIGEST_VERSION = 4
+#: flow); version 5 removed it again together with the option.
+DIGEST_VERSION = 5
 
 
 class UncacheableConfigurationError(ValueError):
@@ -97,7 +95,6 @@ def normalize_configuration(configuration: FlowConfiguration) -> dict:
         "exact_time_limit_seconds": configuration.exact_time_limit_seconds,
         "heuristic_max_width": configuration.heuristic_max_width,
         "timing": configuration.timing,
-        "learn": configuration.learn,
         "design_rules": {
             "min_metal_pitch_nm": rules.min_metal_pitch_nm,
             "min_canvas_separation_nm": rules.min_canvas_separation_nm,
@@ -131,7 +128,6 @@ def configuration_from_normalized(normalized: dict) -> FlowConfiguration:
         exact_time_limit_seconds=normalized["exact_time_limit_seconds"],
         heuristic_max_width=normalized["heuristic_max_width"],
         timing=normalized.get("timing", False),
-        learn=normalized.get("learn", False),
         design_rules=DesignRules(
             min_metal_pitch_nm=rules["min_metal_pitch_nm"],
             min_canvas_separation_nm=rules["min_canvas_separation_nm"],

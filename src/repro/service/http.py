@@ -30,15 +30,12 @@ scheduler into the pool worker, so the job document, the worker's span
 tree (``GET /v1/jobs/<id>/trace``) and every structured log line share
 the request's trace id.
 
-The historical unversioned paths (``/jobs``, ``/healthz``, ...) keep
-working as aliases but every response to one carries a ``Deprecation:
-true`` header and a ``Link`` to the ``/v1`` successor; new clients
-should use ``/v1`` exclusively.  Job documents are stamped with
+A path outside ``/v1`` answers 404.  Job documents are stamped with
 ``schema_version`` (:data:`~repro.service.scheduler.JOB_SCHEMA_VERSION`)
 and the stored ``result.json`` carries the structured design report
 (:data:`~repro.flow.reporting.REPORT_SCHEMA_VERSION`).
 
-``POST /jobs`` accepts ``{"specification": <benchmark name | Verilog
+``POST /v1/jobs`` accepts ``{"specification": <benchmark name | Verilog
 source>, "name": ..., "options": {flow knobs}, "priority": int,
 "timeout": seconds}`` and answers with the job record -- immediately
 ``done`` (``cache_hit: true``) when the artifact store already holds
@@ -94,10 +91,10 @@ DEFAULT_PORT = 8724
 API_PREFIX = "/v1"
 
 _DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
-_JOB_PATH_RE = re.compile(r"^/jobs/([A-Za-z0-9-]+)$")
-_JOB_TRACE_PATH_RE = re.compile(r"^/jobs/([A-Za-z0-9-]+)/trace$")
+_JOB_PATH_RE = re.compile(r"^/v1/jobs/([A-Za-z0-9-]+)$")
+_JOB_TRACE_PATH_RE = re.compile(r"^/v1/jobs/([A-Za-z0-9-]+)/trace$")
 _ARTIFACT_PATH_RE = re.compile(
-    r"^/artifacts/([0-9a-f]{64})(?:/([A-Za-z0-9._-]+))?$"
+    r"^/v1/artifacts/([0-9a-f]{64})(?:/([A-Za-z0-9._-]+))?$"
 )
 
 _LOG = obs_log.get_logger("service.http")
@@ -146,6 +143,7 @@ def _configuration_from_options(options: dict):
     """A FlowConfiguration from a request's ``options`` object."""
     from repro.defects.model import SidbDefect, SurfaceDefects
     from repro.flow.design_flow import FlowConfiguration
+    from repro.tech.design_rules import DesignRules
 
     options = dict(options)
     defects = options.pop("defects", None)
@@ -153,6 +151,9 @@ def _configuration_from_options(options: dict):
         options["defects"] = SurfaceDefects(
             SidbDefect.from_dict(record) for record in defects
         )
+    rules = options.pop("design_rules", None)
+    if rules is not None:
+        options["design_rules"] = DesignRules(**rules)
     return FlowConfiguration(**options)
 
 
@@ -206,29 +207,12 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     # --- helpers -------------------------------------------------------
     def _route(self) -> str:
-        """The request path, version-normalized.
+        """The request path without query string or trailing slash.
 
-        Strips the ``/v1`` prefix when present and remembers whether
-        the client used the deprecated unversioned alias; every
-        response helper consults that flag to attach the
-        ``Deprecation`` headers.
+        Every route lives under ``/v1``; any other path falls through
+        to the 404 branch.
         """
-        path = self.path.split("?", 1)[0]
-        if path == API_PREFIX or path.startswith(API_PREFIX + "/"):
-            self._deprecated_alias = False
-            path = path[len(API_PREFIX):] or "/"
-        else:
-            self._deprecated_alias = True
-        return path.rstrip("/") or "/"
-
-    def _deprecation_headers(self) -> dict[str, str]:
-        if not getattr(self, "_deprecated_alias", False):
-            return {}
-        successor = API_PREFIX + self.path.split("?", 1)[0]
-        return {
-            "Deprecation": "true",
-            "Link": f'<{successor}>; rel="successor-version"',
-        }
+        return self.path.split("?", 1)[0].rstrip("/") or "/"
 
     def _send_json(
         self,
@@ -240,8 +224,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
-        for name, value in self._deprecation_headers().items():
-            self.send_header(name, value)
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
@@ -282,13 +264,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     def _job_document(self, job) -> dict:
         document = job.to_dict()
         if job.status == DONE:
-            prefix = (
-                "" if getattr(self, "_deprecated_alias", False)
-                else API_PREFIX
-            )
+            prefix = f"{API_PREFIX}/artifacts/{job.digest}"
             document["artifacts"] = {
-                "manifest": f"{prefix}/artifacts/{job.digest}",
-                "sqd": f"{prefix}/artifacts/{job.digest}/{ARTIFACT_SQD}",
+                "manifest": prefix,
+                "sqd": f"{prefix}/{ARTIFACT_SQD}",
             }
         return document
 
@@ -298,7 +277,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     def _do_get(self) -> None:
         path = self._route()
-        if path == "/healthz":
+        if path == "/v1/healthz":
             self._send_json(
                 {
                     "status": "ok",
@@ -307,9 +286,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                     "store": self.service.store.stats(),
                 }
             )
-        elif path == "/readyz":
+        elif path == "/v1/readyz":
             self._get_readyz()
-        elif path == "/metrics":
+        elif path == "/v1/metrics":
             text = self.service.metrics_prometheus()
             body = text.encode("utf-8")
             self.send_response(200)
@@ -317,13 +296,11 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
             )
             self.send_header("Content-Length", str(len(body)))
-            for name, value in self._deprecation_headers().items():
-                self.send_header(name, value)
             self.end_headers()
             self.wfile.write(body)
-        elif path == "/events":
+        elif path == "/v1/events":
             self._get_events()
-        elif path == "/jobs":
+        elif path == "/v1/jobs":
             self._send_json(
                 {
                     "jobs": [
@@ -413,8 +390,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 "Content-Type", "application/json; charset=utf-8"
             )
             self.send_header("Content-Length", str(len(body)))
-            for name, value in self._deprecation_headers().items():
-                self.send_header(name, value)
             self.end_headers()
             self.wfile.write(body)
         elif fmt == "json":
@@ -464,8 +439,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "text/event-stream; charset=utf-8")
         self.send_header("Cache-Control", "no-store")
         self.send_header("Connection", "close")
-        for name, value in self._deprecation_headers().items():
-            self.send_header(name, value)
         self.end_headers()
         self.close_connection = True
 
@@ -544,8 +517,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.send_response(200)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
-        for header, value in self._deprecation_headers().items():
-            self.send_header(header, value)
         self.end_headers()
         self.wfile.write(data)
 
@@ -555,7 +526,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     def _do_post(self) -> None:
         path = self._route()
-        if path != "/jobs":
+        if path != "/v1/jobs":
             self._send_error_json(404, f"unknown path {path!r}")
             return
         body = self._read_body()

@@ -19,13 +19,9 @@ hit must be at least 100x faster than the cold run, with byte-identical
 ``.sqd`` output.  ``warm_throughput_per_second`` reports sustained warm
 requests per second for the EXPERIMENTS table.
 
-:func:`run_service_load_benchmark` measures the warm worker pool: a
-:data:`BURST_JOBS`-job burst of distinct designs through the persistent
-pool versus the same burst through ``recycle_after=1`` (the honest
-process-per-job baseline -- identical machinery, but every job pays the
-spawn + import + gate-library cost).  The gated contract is
-:data:`POOL_SPEEDUP_LIMIT` (warm >= 3x cold).  It also drives an HTTP
-saturation curve (:data:`SATURATION_CLIENTS` concurrent clients against
+:func:`run_service_load_benchmark` measures the warm worker pool: the
+wall time of a :data:`BURST_JOBS`-job burst of distinct designs through
+the persistent pool.  It also drives an HTTP saturation curve (:data:`SATURATION_CLIENTS` concurrent clients against
 a live :class:`~repro.service.http.DesignService`) recording p50/p99
 latency and throughput per level.
 """
@@ -118,14 +114,11 @@ def run_service_cache_benchmark(
 #: pool exists for.
 LOAD_BENCHMARK = "xor2"
 
-#: Jobs in the timed submission burst (acceptance: warm >= 3x cold).
+#: Jobs in the timed submission burst.
 BURST_JOBS = 50
 
 #: Pool size for the load benchmark.
 POOL_WORKERS = 2
-
-#: Minimum warm-pool-over-process-per-job burst speedup gated by CI.
-POOL_SPEEDUP_LIMIT = 3.0
 
 #: Concurrent HTTP clients per saturation level.
 SATURATION_CLIENTS = (1, 4, 16, 64)
@@ -134,23 +127,16 @@ SATURATION_CLIENTS = (1, 4, 16, 64)
 SATURATION_REQUESTS = 192
 
 
-def _run_burst(
-    verilog: str, jobs: int, workers: int, recycle_after: int | None
-) -> dict:
-    """Wall-clock one burst of distinct jobs through a pool.
+def _run_burst(verilog: str, jobs: int, workers: int) -> dict:
+    """Wall-clock one burst of distinct jobs through the warm pool.
 
-    ``recycle_after=None`` is the warm pool; ``recycle_after=1`` makes
-    every job pay the full process boot -- the process-per-job
-    baseline.  Pool boot itself is excluded via a warm-up job per
-    worker (it is a one-time service-lifetime cost, and the baseline
-    re-pays it per job anyway).
+    Pool boot itself is excluded via a warm-up job per worker (it is a
+    one-time service-lifetime cost).
     """
     from repro.service.scheduler import DONE, JobScheduler
 
     root = tempfile.mkdtemp(prefix="repro-bench-load-")
-    with JobScheduler(
-        ArtifactStore(root), workers=workers, recycle_after=recycle_after
-    ) as scheduler:
+    with JobScheduler(ArtifactStore(root), workers=workers) as scheduler:
         warmup = [
             scheduler.submit(verilog, name=f"warmup-{index}")
             for index in range(workers)
@@ -190,7 +176,7 @@ def _measure_saturation(
     total_requests: int,
     workers: int,
 ) -> list[dict]:
-    """p50/p99 latency + throughput of ``POST /jobs`` under load.
+    """p50/p99 latency + throughput of ``POST /v1/jobs`` under load.
 
     Requests are warm (the digest is already in the store), so the
     curve isolates the serving stack -- HTTP, admission, dedup, job
@@ -208,7 +194,7 @@ def _measure_saturation(
 
         def post() -> float:
             request = urllib.request.Request(
-                f"{service.url}/jobs",
+                f"{service.url}/v1/jobs",
                 data=body,
                 headers={"Content-Type": "application/json"},
                 method="POST",
@@ -278,32 +264,21 @@ def run_service_load_benchmark(
     saturation_levels: tuple[int, ...] = SATURATION_CLIENTS,
     saturation_requests: int = SATURATION_REQUESTS,
 ) -> dict:
-    """Warm-pool vs process-per-job burst + HTTP saturation curve."""
+    """Warm-pool burst + HTTP saturation curve."""
     verilog = benchmark_verilog(benchmark)
 
-    warm = _run_burst(verilog, burst_jobs, workers, recycle_after=None)
-    cold = _run_burst(verilog, burst_jobs, workers, recycle_after=1)
+    warm = _run_burst(verilog, burst_jobs, workers)
     saturation = _measure_saturation(
         verilog, saturation_levels, saturation_requests, workers
     )
-
-    warm_wall = warm["wall_seconds"]
-    cold_wall = cold["wall_seconds"]
     return {
         "benchmark": benchmark,
         "burst_jobs": burst_jobs,
         "workers": workers,
-        "warm_wall_seconds": warm_wall,
+        "warm_wall_seconds": warm["wall_seconds"],
         "warm_jobs_per_second": warm["jobs_per_second"],
         "warm_completed": warm["completed"],
         "warm_distinct_worker_pids": warm["distinct_worker_pids"],
-        "cold_wall_seconds": cold_wall,
-        "cold_jobs_per_second": cold["jobs_per_second"],
-        "cold_completed": cold["completed"],
-        "cold_distinct_worker_pids": cold["distinct_worker_pids"],
-        "pool_speedup": (
-            cold_wall / warm_wall if warm_wall else float("inf")
-        ),
         "saturation": saturation,
     }
 

@@ -15,9 +15,7 @@ Workers use the ``spawn`` start method.  The scheduler's parent process
 is heavily threaded (HTTP handlers, the dispatcher, per-worker
 watchers), and forking a threaded process can deadlock the child on
 locks held mid-fork -- ``spawn`` gives every worker a clean
-interpreter, which is also what makes the warm pool's amortization
-honest: ``recycle_after=1`` turns the same machinery into a
-process-per-job baseline for benchmarking.
+interpreter.
 
 The scheduler layers these behaviors over the raw pool:
 
@@ -231,21 +229,17 @@ def _warm_worker_state() -> None:
     NpnDatabase()
 
 
-def _pool_worker_main(
-    task_queue, conn, recycle_after=None, log_config=None
-) -> None:
+def _pool_worker_main(task_queue, conn, log_config=None) -> None:
     """Long-lived pool worker: crash-isolated, span-captured.
 
     Pulls task dictionaries off ``task_queue`` until it sees the
     ``None`` sentinel, announcing each pickup with a ``start`` event so
     the parent can attribute the job (and enforce its timeout) before
-    shipping the ``done`` event with payload/span/pid.  With
-    ``recycle_after=N`` the worker exits after N jobs -- ``N=1`` is the
-    process-per-job baseline the load benchmark compares against.
-    ``log_config`` re-creates the parent's structured-logging setup in
-    this process (workers write to the inherited stderr); each job runs
-    with its ``trace_id``/``job_id`` bound so every flow-step log line
-    is correlated across the process boundary.
+    shipping the ``done`` event with payload/span/pid.  ``log_config``
+    re-creates the parent's structured-logging setup in this process
+    (workers write to the inherited stderr); each job runs with its
+    ``trace_id``/``job_id`` bound so every flow-step log line is
+    correlated across the process boundary.
     """
     obs_log.apply_worker_config(log_config)
     worker_log = obs_log.get_logger("service.worker")
@@ -253,7 +247,6 @@ def _pool_worker_main(
         _warm_worker_state()
     except Exception:  # pragma: no cover - preload is best-effort
         pass
-    completed = 0
     try:
         while True:
             task = task_queue.get()
@@ -302,9 +295,6 @@ def _pool_worker_main(
                         error_type=type(error).__name__,
                     )
             conn.send(message)
-            completed += 1
-            if recycle_after is not None and completed >= recycle_after:
-                break
     finally:
         conn.close()
 
@@ -338,7 +328,6 @@ class JobScheduler:
         max_queued: int | None = None,
         retain_jobs: int = DEFAULT_RETAIN_JOBS,
         retain_spans: int = DEFAULT_RETAIN_SPANS,
-        recycle_after: int | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -350,17 +339,12 @@ class JobScheduler:
             raise ValueError(
                 f"retain_spans must be >= 1, got {retain_spans}"
             )
-        if recycle_after is not None and recycle_after < 1:
-            raise ValueError(
-                f"recycle_after must be >= 1, got {recycle_after}"
-            )
         self.store = store
         self.workers = workers
         self.default_timeout = default_timeout
         self.max_queued = max_queued
         self.retain_jobs = retain_jobs
         self.retain_spans = retain_spans
-        self.recycle_after = recycle_after
         #: Service-level telemetry: per-job worker spans merge in here;
         #: ``GET /metrics`` renders it with :func:`obs.to_prometheus`.
         self.telemetry = Span("service")
@@ -824,7 +808,6 @@ class JobScheduler:
             args=(
                 self._task_queue,
                 sender,
-                self.recycle_after,
                 obs_log.worker_config(),
             ),
             name=f"repro-pool-{worker.index}",
@@ -871,7 +854,7 @@ class JobScheduler:
                 )
             except (EOFError, OSError):
                 # Pipe EOF without a message: the worker died, was
-                # terminated, or exited cleanly (sentinel / recycle).
+                # terminated, or exited cleanly (sentinel).
                 self._worker_exited(worker)
                 return
             if message is None:
@@ -1013,8 +996,8 @@ class JobScheduler:
                     }
                     self._finalize_locked(job, FAILED)
                     self.telemetry.add("service.workers_crashed")
-            # Respawn when admitted work still needs a worker (crash
-            # recovery, and the respawn path of recycle_after mode).
+            # Respawn when admitted work still needs a worker (after a
+            # crash or a timeout kill).
             pending = bool(self._heap) or any(
                 inflight.status == QUEUED
                 for inflight in self._inflight.values()

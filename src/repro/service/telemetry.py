@@ -163,7 +163,7 @@ _GAUGE_HELP = {
     "workers_alive": "Live worker processes in the pool.",
     "workers_busy": "Worker processes currently running a job.",
     "worker_utilization": "Busy workers over pool size (0..1).",
-    "workers_respawned": "Workers respawned after a crash or recycle.",
+    "workers_respawned": "Workers respawned after a crash or timeout.",
     "uptime_seconds": "Seconds since the scheduler started.",
     "draining": "1 while the scheduler drains, else 0.",
 }

@@ -1,9 +1,9 @@
 """Shared core of the SimAnneal scaling benchmarks.
 
-Builds parameterized BDL-wire layouts and times the three execution
-paths of the annealer -- the legacy per-move ``serial`` loop, the
-vectorized ``batch`` kernel and the process-parallel driver -- under an
-identical instances/sweeps budget.  Both the pytest benchmark
+Builds parameterized BDL-wire layouts and times the two execution
+paths of the annealer -- the vectorized batch kernel in one process
+and the process-parallel driver -- under an identical instances/sweeps
+budget.  Both the pytest benchmark
 (``benchmarks/bench_simanneal_scaling.py``) and the CI perf smoke
 (``scripts/bench_perf.py``) run this module and write its record to
 ``BENCH_simanneal.json``.
@@ -11,7 +11,6 @@ identical instances/sweeps budget.  Both the pytest benchmark
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import time
 from pathlib import Path
@@ -24,7 +23,7 @@ from repro.sidb.simanneal import SimAnneal, SimAnnealParameters
 #: System sizes of the scaling sweep (number of SiDBs).
 SCALING_SIZES = (12, 18, 24, 30)
 
-#: The size at which the batch-vs-serial speedup is asserted.
+#: The size whose batch wall time ``scripts/bench_trend.py`` tracks.
 GATE_SIZE = 24
 
 
@@ -60,30 +59,24 @@ def measure_point(
     repeats: int = 3,
     workers: int = 2,
 ) -> dict:
-    """Time serial vs batch vs parallel annealing at one system size.
+    """Time batch vs process-parallel annealing at one system size.
 
-    Returns a record with per-mode best-of-``repeats`` wall times, the
-    ground energies each mode found and the batch-over-serial speedup.
-    All modes share the seed/instances/sweeps budget; the parallel mode
-    runs the batch kernel split over ``workers`` processes.
+    Returns a record with best-of-``repeats`` wall times and the ground
+    energies both paths found.  Both share the seed/instances/sweeps
+    budget; the parallel path runs the batch kernel split over
+    ``workers`` processes.
     """
     schedule = schedule or SimAnnealParameters(
         instances=16, sweeps=200, seed=7
     )
     layout = scaling_layout(num_sites)
 
-    serial_schedule = dataclasses.replace(schedule, mode="serial")
-    batch_schedule = dataclasses.replace(schedule, mode="batch")
-
-    serial_time, serial_result = _time(
-        lambda: SimAnneal(layout, schedule=serial_schedule).run(), repeats
-    )
     batch_time, batch_result = _time(
-        lambda: SimAnneal(layout, schedule=batch_schedule).run(), repeats
+        lambda: SimAnneal(layout, schedule=schedule).run(), repeats
     )
     parallel_time, parallel_result = _time(
         lambda: parallel_simanneal(
-            layout, schedule=batch_schedule, workers=workers
+            layout, schedule=schedule, workers=workers
         ),
         repeats,
     )
@@ -93,11 +86,8 @@ def measure_point(
         "sweeps": schedule.sweeps,
         "seed": schedule.seed,
         "workers": workers,
-        "serial_seconds": serial_time,
         "batch_seconds": batch_time,
         "parallel_seconds": parallel_time,
-        "speedup_batch_over_serial": serial_time / batch_time,
-        "serial_energy": serial_result.ground_energy,
         "batch_energy": batch_result.ground_energy,
         "parallel_energy": parallel_result.ground_energy,
         "parallel_matches_batch": bool(
@@ -123,8 +113,8 @@ def run_scaling_benchmark(
         "benchmark": "simanneal_scaling",
         "description": (
             "Wall time of SimAnneal ground-state search on BDL wires: "
-            "legacy per-move serial loop vs vectorized batch kernel vs "
-            "process-parallel batch (same instances/sweeps budget)."
+            "vectorized batch kernel vs process-parallel batch (same "
+            "instances/sweeps budget)."
         ),
         "points": points,
     }

@@ -75,20 +75,15 @@ def test_flow_configuration_is_keyword_only():
         api.FlowConfiguration("exact")
 
 
-# --- deprecation shims ---------------------------------------------------
+# --- top-level names -----------------------------------------------------
 
 
 @pytest.mark.parametrize(
     "name", ["design_sidb_circuit", "FlowConfiguration", "DesignResult"]
 )
-def test_top_level_shims_warn_but_work(name):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        attribute = getattr(repro, name)
-    assert attribute is getattr(api, name)
-    assert any(
-        issubclass(w.category, DeprecationWarning) for w in caught
-    )
+def test_top_level_shims_are_removed(name):
+    with pytest.raises(AttributeError):
+        getattr(repro, name)
 
 
 def test_repro_design_alias_is_not_deprecated():
@@ -96,6 +91,16 @@ def test_repro_design_alias_is_not_deprecated():
         warnings.simplefilter("always")
         assert repro.design is api.design
     assert not caught
+
+
+def test_version_has_one_source():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(BENCH, "pyproject.toml"), "rb") as handle:
+        project = tomllib.load(handle)
+    assert "version" not in project["project"]
+    assert "version" in project["project"]["dynamic"]
+    dynamic = project["tool"]["setuptools"]["dynamic"]["version"]
+    assert dynamic == {"attr": "repro.__version__"}
 
 
 # --- specification loading ----------------------------------------------

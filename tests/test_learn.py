@@ -19,9 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.coords.hexagonal import HexCoord
 from repro.coords.lattice import LatticeSite
-from repro.defects import DefectType, SidbDefect, SurfaceDefects
 from repro.flow.design_flow import FlowConfiguration, design_sidb_circuit
 from repro.gatelib.designer import (
     score_design,
@@ -29,7 +27,6 @@ from repro.gatelib.designer import (
     search_canvas_design,
 )
 from repro.gatelib.library import BestagonLibrary
-from repro.gatelib.tile import TileGeometry
 from repro.learn import hooks as learn_hooks
 from repro.learn.collect import (
     bootstrap_problems,
@@ -67,7 +64,7 @@ from repro.learn.model import (
 )
 from repro.networks import benchmark_verilog
 from repro.networks.truth_table import TruthTable
-from repro.service.digest import DIGEST_VERSION, design_digest
+from repro.service.digest import DIGEST_VERSION, normalize_configuration
 from repro.service.store import ArtifactStore
 from repro.sidb.bdl import BdlPair
 
@@ -540,41 +537,9 @@ def test_verdict_equality_with_collection(tmp_path):
 
 
 def test_digest_learn_participation():
-    assert DIGEST_VERSION == 4
-    verilog = benchmark_verilog("xor2")
-    base = design_digest(verilog, "xor2", FlowConfiguration())
-    learned = design_digest(
-        verilog, "xor2", FlowConfiguration(learn=True)
-    )
-    assert base != learned
-    assert design_digest(verilog, "xor2", FlowConfiguration()) == base
-
-
-def test_flow_learn_collects_shard(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_LEARN_DIR", str(tmp_path))
-    verilog = benchmark_verilog("xor2")
-    pristine = design_sidb_circuit(verilog, "xor2")
-    used = sorted((c.x, c.y) for c, _ in pristine.layout.occupied())
-    geometry = TileGeometry()
-    column, row = geometry.origin_of(HexCoord(*used[0]))
-    defect = SidbDefect(
-        LatticeSite(column + 2, (row + 2) // 2, (row + 2) % 2),
-        DefectType.DB,
-    )
-    config = FlowConfiguration(
-        learn=True, defects=SurfaceDefects([defect])
-    )
-    result = design_sidb_circuit(verilog, "xor2", config)
-    shards = list((tmp_path / "shards").glob("shard-*.jsonl"))
-    assert shards, "learn=True flow produced no dataset shard"
-    dataset = load_examples(tmp_path / "shards")
-    assert len(dataset) > 0
-    assert set(dataset.kinds) == {"operational"}
-    # Collection changed no artifact: same .sqd as a learn=False run.
-    plain = design_sidb_circuit(verilog, "xor2", FlowConfiguration(
-        defects=SurfaceDefects([defect])
-    ))
-    assert result.sqd == plain.sqd
+    assert DIGEST_VERSION == 5
+    normalized = normalize_configuration(FlowConfiguration())
+    assert "learn" not in normalized
 
 
 def test_flow_learn_off_no_shard(monkeypatch, tmp_path):
@@ -648,9 +613,3 @@ def test_cli_learn_train_eval_info(tmp_path):
     assert document["dataset_schema_version"] == DATASET_SCHEMA_VERSION
     assert document["model_schema_version"] == MODEL_SCHEMA_VERSION
     assert document["feature_version"] == FEATURE_VERSION
-
-
-def test_cli_design_accepts_learn_flag():
-    result = _run_cli("synth", "--help")
-    assert result.returncode == 0
-    assert "--learn" in result.stdout

@@ -53,30 +53,16 @@ class TestBatchAnnealer:
         )
         assert annealed.degeneracy == exact.degeneracy
 
-    def test_serial_mode_matches_exhaustive(self):
-        layout = scaling_layout(10)
-        exact = exhaustive_ground_state(layout)
-        schedule = SimAnnealParameters(
-            instances=16, sweeps=100, seed=1, mode="serial"
-        )
-        annealed = SimAnneal(layout, schedule=schedule).run()
-        assert annealed.ground_energy == pytest.approx(
-            exact.ground_energy, abs=1e-9
-        )
-
     def test_reported_energy_is_exact(self):
-        # Satellite fix: the reported energy is recomputed from the
-        # occupation vector, never accumulated from per-move deltas.
+        # The reported energy is recomputed from the occupation vector,
+        # never accumulated from per-move deltas.
         layout = scaling_layout(12)
-        for mode in ("batch", "serial"):
-            schedule = SimAnnealParameters(
-                instances=8, sweeps=80, seed=2, mode=mode
-            )
-            engine = SimAnneal(layout, schedule=schedule)
-            result = engine.run()
-            assert result.ground_energy == engine.model.energy(
-                result.occupation()
-            )
+        schedule = SimAnnealParameters(instances=8, sweeps=80, seed=2)
+        engine = SimAnneal(layout, schedule=schedule)
+        result = engine.run()
+        assert result.ground_energy == engine.model.energy(
+            result.occupation()
+        )
 
     def test_degenerate_states_collected(self):
         # The symmetric wire has a 2-fold degenerate ground state; the
@@ -88,12 +74,6 @@ class TestBatchAnnealer:
         assert annealed.degeneracy == 2
         keys = {state.tobytes() for state in annealed.ground_states}
         assert keys == {state.tobytes() for state in exact.ground_states}
-
-    def test_unknown_mode_rejected(self):
-        layout = scaling_layout(4)
-        schedule = SimAnnealParameters(mode="warp")
-        with pytest.raises(ValueError, match="mode"):
-            SimAnneal(layout, schedule=schedule)
 
 
 class TestOrderIndependentSeeding:

@@ -356,7 +356,7 @@ def _post(url, document):
 
 
 def test_http_healthz_reports_version(service):
-    status, body = _get(service.url + "/healthz")
+    status, body = _get(service.url + "/v1/healthz")
     document = json.loads(body)
     assert status == 200
     assert document["status"] == "ok"
@@ -366,7 +366,7 @@ def test_http_healthz_reports_version(service):
 
 def test_http_job_lifecycle_and_artifacts(service):
     status, document = _post(
-        service.url + "/jobs", {"specification": "xor2"}
+        service.url + "/v1/jobs", {"specification": "xor2"}
     )
     assert status == 202
     job = document["job"]
@@ -374,7 +374,7 @@ def test_http_job_lifecycle_and_artifacts(service):
     while job["status"] not in ("done", "failed", "cancelled"):
         assert time.time() < deadline
         time.sleep(0.05)
-        _, body = _get(f"{service.url}/jobs/{job['id']}")
+        _, body = _get(f"{service.url}/v1/jobs/{job['id']}")
         job = json.loads(body)
     assert job["status"] == "done", job
     status, sqd = _get(service.url + job["artifacts"]["sqd"])
@@ -384,44 +384,69 @@ def test_http_job_lifecycle_and_artifacts(service):
     assert status == 200 and manifest["digest"] == job["digest"]
     # Resubmission: served straight from the artifact store.
     status, document = _post(
-        service.url + "/jobs", {"specification": "xor2"}
+        service.url + "/v1/jobs", {"specification": "xor2"}
     )
     assert status == 202
     assert document["job"]["status"] == "done"
     assert document["job"]["cache_hit"] is True
     # Job listing includes both submissions.
-    status, body = _get(service.url + "/jobs")
+    status, body = _get(service.url + "/v1/jobs")
     listed = json.loads(body)["jobs"]
     assert status == 200 and len(listed) >= 2
 
 
 def test_http_metrics_exposition(service):
-    status, body = _get(service.url + "/metrics")
+    status, body = _get(service.url + "/v1/metrics")
     assert status == 200
     assert b"repro_service_service_jobs_submitted_total" in body
 
 
 def test_http_rejects_bad_requests(service):
-    status, document = _post(service.url + "/jobs", {})
+    status, document = _post(service.url + "/v1/jobs", {})
     assert status == 400 and "specification" in document["error"]
     status, document = _post(
-        service.url + "/jobs", {"specification": "no-such-benchmark"}
+        service.url + "/v1/jobs", {"specification": "no-such-benchmark"}
     )
     assert status == 400 and "no-such-benchmark" in document["error"]
     status, document = _post(
-        service.url + "/jobs",
+        service.url + "/v1/jobs",
         {"specification": "xor2", "options": {"engine": "warp-drive"}},
     )
     assert status == 400 and "warp-drive" in document["error"]
 
 
+def test_http_design_rules_object_is_converted(service):
+    rules = {"min_metal_pitch_nm": 40.0, "min_canvas_separation_nm": 10.0}
+    status, document = _post(
+        service.url + "/v1/jobs",
+        {"specification": "xor2", "options": {"design_rules": rules}},
+    )
+    assert status == 202, document
+    status, document = _post(
+        service.url + "/v1/jobs",
+        {
+            "specification": "xor2",
+            "options": {"design_rules": {"min_pitch": 40.0}},
+        },
+    )
+    assert status == 400 and "min_pitch" in document["error"]
+
+
+def test_http_rejects_removed_learn_option(service):
+    status, document = _post(
+        service.url + "/v1/jobs",
+        {"specification": "xor2", "options": {"learn": True}},
+    )
+    assert status == 400 and "learn" in document["error"]
+
+
 def test_http_404s(service):
-    status, body = _get(service.url + "/jobs/j-nonexistent")
+    status, body = _get(service.url + "/v1/jobs/j-nonexistent")
     assert status == 404
-    status, body = _get(service.url + "/artifacts/" + "0" * 64)
+    status, body = _get(service.url + "/v1/artifacts/" + "0" * 64)
     assert status == 404
     status, body = _get(
-        service.url + "/artifacts/" + "0" * 64 + "/design.sqd"
+        service.url + "/v1/artifacts/" + "0" * 64 + "/design.sqd"
     )
     assert status == 404
     status, body = _get(service.url + "/nowhere")
@@ -430,7 +455,7 @@ def test_http_404s(service):
 
 def test_http_cancel_unknown_job(service):
     request = urllib.request.Request(
-        service.url + "/jobs/j-nonexistent", method="DELETE"
+        service.url + "/v1/jobs/j-nonexistent", method="DELETE"
     )
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         urllib.request.urlopen(request, timeout=30)
@@ -455,12 +480,11 @@ def test_http_v1_paths_serve_without_deprecation(service):
         assert "Deprecation" not in headers, path
 
 
-def test_http_unversioned_aliases_answer_with_deprecation(service):
-    for path in ("/healthz", "/metrics", "/jobs"):
+def test_http_unversioned_paths_404(service):
+    for path in ("/healthz", "/jobs"):
         status, _, headers = _get_with_headers(service.url + path)
-        assert status == 200, path
-        assert headers.get("Deprecation") == "true", path
-        assert f"</v1{path}>" in headers.get("Link", ""), headers
+        assert status == 404, path
+        assert "Deprecation" not in headers, path
 
 
 def test_http_v1_job_schema_version_and_artifact_urls(service):
@@ -480,25 +504,13 @@ def test_http_v1_job_schema_version_and_artifact_urls(service):
         assert "Deprecation" not in headers
         job = json.loads(body)
     assert job["status"] == "done", job
-    # Versioned requests get versioned artifact URLs ...
+    # Job documents carry versioned artifact URLs.
     assert job["artifacts"]["sqd"].startswith("/v1/artifacts/")
     status, sqd, headers = _get_with_headers(
         service.url + job["artifacts"]["sqd"]
     )
     assert status == 200 and sqd.startswith(b"<?xml")
     assert "Deprecation" not in headers
-    # ... while the alias view keeps the historical bare paths.
-    _, body, headers = _get_with_headers(
-        f"{service.url}/jobs/{job['id']}"
-    )
-    alias = json.loads(body)
-    assert headers.get("Deprecation") == "true"
-    assert alias["artifacts"]["sqd"].startswith("/artifacts/")
-    status, alias_sqd, headers = _get_with_headers(
-        service.url + alias["artifacts"]["sqd"]
-    )
-    assert status == 200 and alias_sqd == sqd
-    assert headers.get("Deprecation") == "true"
 
 
 def test_http_v1_unknown_path_404s(service):
