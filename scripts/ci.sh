@@ -8,6 +8,9 @@ cd "$(dirname "$0")/.."
 echo "== repro.api surface =="
 python scripts/check_api_surface.py --strict
 
+echo "== shipped NPN database =="
+PYTHONPATH=src python scripts/build_npn_database.py --check
+
 echo "== benchmark trend =="
 PYTHONPATH=src python scripts/bench_trend.py --check
 

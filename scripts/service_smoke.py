@@ -112,7 +112,7 @@ def _smoke_backpressure_and_drain() -> None:
     for index in range(8):
         status, doc, headers = _request(
             url + "/v1/jobs",
-            payload={"specification": "c17", "name": f"pool-{index}"},
+            payload={"specification": "clpl", "name": f"pool-{index}"},
         )
         if status == 202:
             admitted.append(doc["job"])

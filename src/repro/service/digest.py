@@ -11,6 +11,7 @@ output, so the artifact store may serve one for the other.
 
 Stability guarantee: the digest of a given (specification, name,
 configuration) triple only changes when :data:`DIGEST_VERSION`,
+:data:`~repro.synthesis.database.NPN_DATABASE_VERSION`,
 :data:`~repro.gatelib.library.GATE_LIBRARY_VERSION` or
 :data:`~repro.sqd.sqd.SQD_WRITER_VERSION` is bumped -- i.e. when the
 produced artifacts would genuinely differ.  It is safe to persist
@@ -32,6 +33,7 @@ from repro.gatelib.library import GATE_LIBRARY_VERSION
 from repro.layout.clocking import SCHEMES, scheme_by_name
 from repro.networks.xag import Xag
 from repro.sqd.sqd import SQD_WRITER_VERSION
+from repro.synthesis.database import NPN_DATABASE_VERSION
 from repro.tech.design_rules import DesignRules
 
 #: Bump when the digest document layout itself changes (invalidates
@@ -41,8 +43,10 @@ from repro.tech.design_rules import DesignRules
 #: ``timing`` (static timing analysis changes the persisted
 #: ``result.json`` document) and versioned the structured report.
 #: Version 4 added ``learn`` (surrogate-example collection during the
-#: flow); version 5 removed it again together with the option.
-DIGEST_VERSION = 5
+#: flow); version 5 removed it again together with the option.  Version 6
+#: added ``npn_database`` (the shipped recipe table decides the rewritten
+#: network).
+DIGEST_VERSION = 6
 
 
 class UncacheableConfigurationError(ValueError):
@@ -157,6 +161,7 @@ def design_digest(
     """
     document = {
         "format": DIGEST_VERSION,
+        "npn_database": NPN_DATABASE_VERSION,
         "gate_library": GATE_LIBRARY_VERSION,
         "sqd_writer": SQD_WRITER_VERSION,
         "name": name,

@@ -4,6 +4,7 @@
 * :mod:`repro.synthesis.npn` -- NPN canonicalization of small functions,
 * :mod:`repro.synthesis.exact` -- SAT-based exact XAG synthesis,
 * :mod:`repro.synthesis.database` -- the exact NPN database [Riener'19],
+  shipped precomputed as ``npn_database.json``,
 * :mod:`repro.synthesis.rewrite` -- cut-based XAG rewriting,
 * :mod:`repro.synthesis.mapping` -- technology mapping onto the Bestagon
   gate set [Calvino'22], including inverter minimization,

@@ -36,38 +36,37 @@ class NpnTransform:
         return len(self.permutation)
 
 
-def _apply_transform(
-    table: TruthTable, permutation: tuple[int, ...], negations: int
-) -> TruthTable:
-    """Permute then negate inputs of a truth table."""
-    result = table.permute_inputs(list(permutation))
-    for var in range(table.num_vars):
-        if (negations >> var) & 1:
-            result = result.flip_input(var)
-    return result
-
-
 def npn_canonical(table: TruthTable) -> tuple[TruthTable, NpnTransform]:
     """Canonical NPN representative and the transform recovering ``table``.
 
     Returns ``(canon, t)`` such that applying ``t`` to ``canon``
-    reproduces ``table``; see :func:`apply_npn_transform`.
+    reproduces ``table``; see :func:`apply_npn_transform`.  The canon is
+    the smallest truth table over all transforms; ties go to the first
+    transform in permutation -> input negation -> output negation order.
     """
-    best: TruthTable | None = None
-    best_transform: NpnTransform | None = None
     n = table.num_vars
+    mask = (1 << (1 << n)) - 1
+    projections = [TruthTable.variable(var, n).bits for var in range(n)]
+    best_bits = -1
+    best_transform: NpnTransform | None = None
     for permutation in permutations(range(n)):
+        permuted = table.permute_inputs(permutation).bits
         for negations in range(1 << n):
-            candidate = _apply_transform(table, permutation, negations)
+            candidate = permuted
+            for var in range(n):
+                if (negations >> var) & 1:
+                    high = candidate & projections[var]
+                    shift = 1 << var
+                    candidate = (high >> shift) | ((candidate ^ high) << shift)
             for output_negation in (False, True):
-                final = ~candidate if output_negation else candidate
-                if best is None or final.bits < best.bits:
-                    best = final
+                final = candidate ^ mask if output_negation else candidate
+                if best_transform is None or final < best_bits:
+                    best_bits = final
                     best_transform = NpnTransform(
                         permutation, negations, output_negation
                     )
-    assert best is not None and best_transform is not None
-    return best, best_transform
+    assert best_transform is not None
+    return TruthTable(n, best_bits), best_transform
 
 
 def apply_npn_transform(

@@ -1,5 +1,6 @@
 """Tests of the stable public facade (repro.api) and the CLI surface."""
 
+import fnmatch
 import json
 import os
 import subprocess
@@ -101,6 +102,25 @@ def test_version_has_one_source():
     assert "version" in project["project"]["dynamic"]
     dynamic = project["tool"]["setuptools"]["dynamic"]["version"]
     assert dynamic == {"attr": "repro.__version__"}
+
+
+def test_every_shipped_json_is_package_data():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(BENCH, "pyproject.toml"), "rb") as handle:
+        project = tomllib.load(handle)
+    package_data = project["tool"]["setuptools"]["package-data"]
+    src = os.path.join(BENCH, "src")
+    shipped = [
+        os.path.relpath(os.path.join(folder, name), src)
+        for folder, _, names in os.walk(os.path.join(src, "repro"))
+        for name in names
+        if name.endswith(".json")
+    ]
+    assert shipped
+    for path in shipped:
+        package, name = os.path.split(path)
+        patterns = package_data.get(package.replace(os.sep, "."), [])
+        assert any(fnmatch.fnmatch(name, p) for p in patterns), path
 
 
 # --- specification loading ----------------------------------------------

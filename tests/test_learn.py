@@ -537,7 +537,7 @@ def test_verdict_equality_with_collection(tmp_path):
 
 
 def test_digest_learn_participation():
-    assert DIGEST_VERSION == 5
+    assert DIGEST_VERSION == 6
     normalized = normalize_configuration(FlowConfiguration())
     assert "learn" not in normalized
 

@@ -255,7 +255,7 @@ def test_scheduler_timeout_kills_worker(tmp_path):
     store = ArtifactStore(tmp_path)
     with JobScheduler(store, workers=1) as scheduler:
         job = scheduler.submit(
-            benchmark_verilog("c17"), name="c17", timeout=0.05
+            benchmark_verilog("newtag"), name="newtag", timeout=0.05
         )
         assert job.wait(120)
         assert job.status == "failed"

@@ -1,20 +1,33 @@
 """Tests for NPN canonicalization, cuts, exact synthesis, the database,
 rewriting and technology mapping."""
 
+import json
+import random
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.networks import benchmark_network
+from repro.networks import benchmark_network, benchmark_verilog
 from repro.networks.logic_network import GateType
 from repro.networks.simulation import exhaustive_equivalent
 from repro.networks.truth_table import TruthTable
 from repro.networks.xag import Xag
 from repro.synthesis.cuts import Cut, cone_nodes, cut_function, enumerate_cuts
-from repro.synthesis.database import NpnDatabase, shannon_recipe
+from repro.networks.verilog import parse_verilog
+from repro.synthesis import database as database_module
+from repro.synthesis.database import (
+    CONFLICT_LIMIT,
+    DATA_PATH,
+    MAX_GATES,
+    NpnDatabase,
+    load_table,
+    shannon_recipe,
+)
 from repro.synthesis.exact import SynthesisSpec, exact_xag_synthesis
 from repro.synthesis.fanout import fanout_tree_depth, insert_fanout_trees
 from repro.synthesis.mapping import MappingStatistics, map_to_bestagon
-from repro.synthesis.npn import apply_npn_transform, npn_canonical
+from repro.synthesis.npn import NpnTransform, apply_npn_transform, npn_canonical
 from repro.synthesis.rewrite import RewriteStatistics, cut_rewrite
 
 
@@ -49,6 +62,44 @@ class TestNpn:
         assert npn_canonical(TruthTable(2, 0b0110))[0] != npn_canonical(
             TruthTable(2, 0b1000)
         )[0]
+
+
+def _reference_npn_canonical(table):
+    """Canonicalization as first written: one transform at a time.
+
+    Kept as the oracle of :func:`npn_canonical`'s result *and* tie-break
+    (the transform decides the structure rewriting builds).
+    """
+    best = best_transform = None
+    n = table.num_vars
+    for permutation in permutations(range(n)):
+        for negations in range(1 << n):
+            candidate = table.permute_inputs(list(permutation))
+            for var in range(n):
+                if (negations >> var) & 1:
+                    candidate = candidate.flip_input(var)
+            for output_negation in (False, True):
+                final = ~candidate if output_negation else candidate
+                if best is None or final.bits < best.bits:
+                    best = final
+                    best_transform = NpnTransform(
+                        permutation, negations, output_negation
+                    )
+    return best, best_transform
+
+
+class TestNpnReference:
+    def test_all_small_functions_match_reference(self):
+        for n in (0, 1, 2, 3):
+            for bits in range(1 << (1 << n)):
+                table = TruthTable(n, bits)
+                assert npn_canonical(table) == _reference_npn_canonical(table)
+
+    def test_random_four_input_functions_match_reference(self):
+        rng = random.Random(13)
+        for _ in range(500):
+            table = TruthTable(4, rng.getrandbits(16))
+            assert npn_canonical(table) == _reference_npn_canonical(table)
 
 
 class TestCuts:
@@ -149,6 +200,97 @@ class TestDatabase:
     def test_implementation_size_optimal_for_and(self):
         db = NpnDatabase()
         assert db.implementation_size(TruthTable(2, 0b1000)) == 1
+
+
+#: Table-1 rows that place exactly at the flow's default conflict budget.
+_TABLE1_EXACT = (
+    "xor2", "xnor2", "par_gen", "mux21", "par_check", "xor5_r1",
+    "xor5_majority", "t", "t_5", "c17", "majority",
+)
+
+
+@pytest.fixture(scope="module")
+def table1_rewrite_databases():
+    """One fresh database per Table-1 row, after rewriting that row."""
+    databases = {}
+    for name in _TABLE1_EXACT:
+        databases[name] = NpnDatabase()
+        cut_rewrite(parse_verilog(benchmark_verilog(name), name), databases[name])
+    return databases
+
+
+class TestShippedDatabase:
+    def test_table1_rewrites_run_no_synthesis(self, table1_rewrite_databases):
+        for db in table1_rewrite_databases.values():
+            assert db.synthesis_calls == 0
+            assert db.lookups > 0
+
+    def test_table1_classes_match_fresh_exact_synthesis(
+        self, table1_rewrite_databases
+    ):
+        used = set()
+        for db in table1_rewrite_databases.values():
+            used |= db._verified
+        assert len(used) == 16
+        shipped = NpnDatabase()
+        for key in sorted(used):
+            canon = TruthTable(*key)
+            fresh = exact_xag_synthesis(
+                SynthesisSpec(
+                    canon, max_gates=MAX_GATES, conflict_limit=CONFLICT_LIMIT
+                )
+            )
+            assert fresh is not None and shipped._exact[key], key
+            assert fresh == shipped.canonical_recipe(canon), key
+
+    def test_instances_own_their_tables(self):
+        first, second = NpnDatabase(), NpnDatabase()
+        assert first._recipes == second._recipes
+        assert first._recipes is not second._recipes
+        first._recipes.clear()
+        first._exact.clear()
+        assert len(second._recipes) == len(second._exact) == 240
+
+    def test_unsound_recipe_rejected_on_first_use(self):
+        db = NpnDatabase()
+        and_class, xor_class = (2, 1), (2, 6)
+        db._recipes[and_class] = db._recipes[xor_class]
+        with pytest.raises(AssertionError, match="unsound"):
+            db.implementation_size(TruthTable(2, 0b1000))
+
+    def test_miss_path_synthesizes_the_shipped_recipe(self):
+        db = NpnDatabase()
+        key = (3, 0x17)  # majority
+        shipped = db._recipes.pop(key)
+        assert db.canonical_recipe(TruthTable(*key)) == shipped
+        assert db.synthesis_calls == 1 and db._exact[key]
+
+    def test_lookup_memoizes_canonicalization(self, monkeypatch):
+        calls = []
+
+        def counting(table):
+            calls.append(table)
+            return npn_canonical(table)
+
+        monkeypatch.setattr(database_module, "npn_canonical", counting)
+        db = NpnDatabase()
+        table = TruthTable(3, 0b11101000)
+        for _ in range(3):
+            db.implementation_size(table)
+        assert db.lookups == 3 and len(calls) == 1
+
+    def test_missing_table_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_table(tmp_path / "npn_database.json")
+
+    def test_stale_header_raises(self, tmp_path):
+        document = json.loads(DATA_PATH.read_text(encoding="utf-8"))
+        for field, value in (("version", 0), ("settings", {"max_gates": 8})):
+            stale = dict(document, **{field: value})
+            path = tmp_path / f"{field}.json"
+            path.write_text(json.dumps(stale), encoding="utf-8")
+            with pytest.raises(ValueError, match=field):
+                load_table(path)
 
 
 class TestRewrite:
