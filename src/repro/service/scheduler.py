@@ -218,15 +218,14 @@ def _warm_worker_state() -> None:
     """Load the per-process heavy state once, at worker boot.
 
     Imports of the flow stack already happened when this module was
-    imported by the spawned interpreter; constructing the gate library
-    and the synthesis database here warms their file/derived caches so
+    imported by the spawned interpreter -- importing
+    :mod:`repro.synthesis.database` parsed the shipped NPN table then.
+    Constructing the gate library here warms its file/derived caches so
     the first job pays no more than the steady state.
     """
     from repro.gatelib.library import BestagonLibrary
-    from repro.synthesis.database import NpnDatabase
 
     BestagonLibrary()
-    NpnDatabase()
 
 
 def _pool_worker_main(task_queue, conn, log_config=None) -> None:
