@@ -160,7 +160,7 @@ def main() -> int:
         quickexact_record = run_quickexact_benchmark()
     else:
         quickexact_record = run_quickexact_benchmark(
-            sizes=(12, 16, QUICKEXACT_GATE_SIZE, 24, 30), repeats=2
+            sizes=(12, 16, QUICKEXACT_GATE_SIZE, 24, 30, 32), repeats=2
         )
     quickexact_path = write_benchmark_json(
         quickexact_record, QUICKEXACT_ARTIFACT

@@ -131,7 +131,7 @@ def write_benchmark_json(record: dict, path: str | Path) -> Path:
 #: System sizes of the exact-engine sweep.  ExGS is only timed up to
 #: :data:`QUICKEXACT_EXGS_CEILING` (2^n enumeration beyond that would
 #: dominate the whole benchmark run); QuickExact covers the full range.
-QUICKEXACT_SIZES = (10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30)
+QUICKEXACT_SIZES = (10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30, 32)
 QUICKEXACT_EXGS_CEILING = 22
 
 #: The size at which the QuickExact-over-ExGS speedup is asserted.
@@ -192,8 +192,9 @@ def run_quickexact_benchmark(
         "description": (
             "Wall time of exact ground-state search on BDL wires: "
             "brute-force ExGS enumeration vs the pruned QuickExact "
-            "engine (witness bounds + branch-and-bound + vectorized "
-            "leaves), with nodes-visited pruning telemetry."
+            "engine (witness bounds + branch-and-bound over batched "
+            "frontiers + vectorized leaves), with nodes-visited pruning "
+            "telemetry."
         ),
         "points": points,
     }

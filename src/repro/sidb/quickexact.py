@@ -20,21 +20,24 @@ repo's :class:`~repro.sidb.energy.EnergyModel`:
   completion of the subtree is population stable -- the subtree is cut
   without losing a single stable configuration.
 
-* **Branch-and-bound energy pruning.**  A cheap SimAnneal run seeds an
-  incumbent energy (every finalist is metastable, hence a valid upper
-  bound on the ground-state energy).  Each partial assignment carries
-  an energy lower bound -- the decided part's exact energy plus
+* **Branch-and-bound energy pruning.**  Each partial assignment
+  carries an energy lower bound -- the decided part's exact energy plus
   ``min(0, mu + ext_j + base_j)`` per undecided site, valid because
   cross-terms among undecided negatives are repulsive -- and subtrees
-  provably above the incumbent (plus the degeneracy tolerance) are
-  skipped.  Disable with ``energy_pruning=False`` to enumerate *every*
-  stable configuration (then ``valid_count`` matches ExGS exactly).
+  provably above the incumbent (the best metastable energy found so
+  far, plus the degeneracy tolerance) are skipped.  Disable with
+  ``energy_pruning=False`` to enumerate *every* stable configuration
+  (then ``valid_count`` matches ExGS exactly).
 
-* **Vectorized leaf enumeration.**  Once only ``leaf_bits`` sites
-  remain undecided, the whole 2^leaf_bits subtree is evaluated as one
-  numpy batch -- the same chunked formulation as the exhaustive engine
-  -- so the Python-level recursion only ever runs over the pruned
-  prefix tree.
+* **Batched frontiers.**  The depth-first search expands a whole batch
+  of equal-depth partial assignments per step and applies the cuts to
+  it in a few array operations; survivors are pushed in chunks so the
+  leaves are still reached in depth-first preorder, and the first
+  batched dive seeds a tight incumbent by itself.  Once only
+  ``_LEAF_BITS`` sites remain undecided, all 2^_LEAF_BITS completions
+  of many leaves are evaluated as one numpy block -- the same
+  formulation as the exhaustive engine, with the completion patterns
+  and their potentials computed once per search.
 
 Candidate energies are *recomputed* through the shared
 :meth:`~repro.sidb.energy.EnergyModel.batched_energies` before they are
@@ -65,43 +68,24 @@ from repro.tech.parameters import SiDBSimulationParameters
 #: larger systems to SimAnneal.
 MAX_QUICKEXACT_SITES = 32
 
-#: Remaining-site count at which the recursion hands the subtree to the
-#: vectorized leaf enumeration.  Small enough that the witness cuts get
-#: a deep prefix to prune, large enough that the numpy batches stay
-#: efficient.
-DEFAULT_LEAF_BITS = 10
+#: Undecided-site count at which a partial assignment becomes a leaf:
+#: its 2^_LEAF_BITS completions are enumerated as one numpy block.
+#: Small leaves give the witness cuts a deep prefix to prune.
+_LEAF_BITS = 4
+
+#: log2 of the configurations one batch holds.  Every batched array --
+#: a frontier expansion (two children per parent), a block of leaves
+#: with all their completions, one configuration-stability call --
+#: stays at about 2^_BATCH_BITS * n elements.
+_BATCH_BITS = 10
+
+#: Most partial assignments expanded as one frontier.
+_FRONTIER_BATCH = 1 << (_BATCH_BITS - 1)
 
 #: Slack added wherever the search's decomposed (incrementally
 #: maintained) energies are compared against exactly recomputed ones;
 #: covers last-ulp differences between the two summation orders.
 _DECOMPOSITION_SLACK = 1e-12
-
-#: SimAnneal budget of the incumbent seeding run -- deliberately tiny;
-#: any metastable finalist tightens the branch-and-bound, and a missed
-#: incumbent only costs pruning power, never correctness.
-_INCUMBENT_INSTANCES = 8
-_INCUMBENT_SWEEPS = 120
-
-#: Site count below which the incumbent is left to the search itself
-#: (the first evaluated leaf already seeds it).  Small systems finish in
-#: milliseconds; a SimAnneal warm start would cost more than the whole
-#: search.  Above the legacy exhaustive ceiling the prefix tree is deep
-#: enough that an up-front metastable incumbent pays for itself.
-_INCUMBENT_MIN_SITES = 24
-
-#: Cached (2^m, m) suffix occupation patterns, keyed on m.
-_SUFFIX_PATTERNS: dict[int, np.ndarray] = {}
-
-
-def _suffix_patterns(m: int) -> np.ndarray:
-    patterns = _SUFFIX_PATTERNS.get(m)
-    if patterns is None:
-        indices = np.arange(1 << m, dtype=np.uint32)
-        bits = np.arange(m, dtype=np.uint32)
-        patterns = ((indices[:, None] >> bits[None, :]) & 1).astype(np.int8)
-        patterns.setflags(write=False)
-        _SUFFIX_PATTERNS[m] = patterns
-    return patterns
 
 
 @dataclass
@@ -157,36 +141,12 @@ def _site_order(layout: SidbLayout) -> np.ndarray:
     return np.lexsort((positions[:, 1], positions[:, 0]))
 
 
-def _seed_incumbent(
-    layout: SidbLayout, model: EnergyModel
-) -> float:
-    """Upper bound on the metastable ground energy from a cheap anneal.
-
-    Every SimAnneal finalist is greedy-descended and metastable, so its
-    energy bounds the minimum over metastable states from above -- and
-    the metastable minimum is what both stability modes of the search
-    report (the configuration-stability filter only ever *raises* the
-    reported minimum; pruning against a metastable energy therefore
-    never cuts an eventual ground state).
-    """
-    from repro.sidb.simanneal import SimAnneal, SimAnnealParameters
-
-    schedule = SimAnnealParameters(
-        instances=_INCUMBENT_INSTANCES, sweeps=_INCUMBENT_SWEEPS, seed=0
-    )
-    seeded = SimAnneal(layout, schedule=schedule, model=model).run()
-    if seeded.ground_states:
-        return float(seeded.ground_energy)
-    return float("inf")
-
-
 def quickexact_ground_state(
     layout: SidbLayout,
     parameters: SiDBSimulationParameters | None = None,
     require_configuration_stability: bool = True,
     energy_tolerance: float = 1e-9,
     model: EnergyModel | None = None,
-    leaf_bits: int = DEFAULT_LEAF_BITS,
     energy_pruning: bool = True,
     incumbent: float | None = None,
 ) -> GroundStateResult:
@@ -195,18 +155,19 @@ def quickexact_ground_state(
     Drop-in replacement for :func:`~repro.sidb.exhaustive.
     exhaustive_ground_state` with the site ceiling raised from 24 to
     :data:`MAX_QUICKEXACT_SITES`: same ground energy, same degenerate
-    state set (collection order may differ), computed from the same
+    state set (in an order of its own), computed from the same
     :class:`EnergyModel` arithmetic.  ``valid_count`` counts the
     (meta)stable configurations the pruned search enumerated -- equal
     to the exhaustive count when ``energy_pruning=False`` (the witness
     cuts alone never skip a stable configuration), a lower bound
-    otherwise.
+    otherwise (only configurations inside the energy window are
+    checked for configuration stability).
 
     ``incumbent`` optionally injects a known upper bound on the ground
     energy (e.g. from a previous simulation of a related layout);
-    ``None`` seeds one with a small SimAnneal run.  The result's
-    ``stats`` field carries a :class:`QuickExactStatistics` record with
-    node/cut attribution.
+    ``None`` leaves it to the search, whose first leaves seed it.  The
+    result's ``stats`` field carries a :class:`QuickExactStatistics`
+    record with node/cut attribution.
     """
     n = len(layout)
     if n > MAX_QUICKEXACT_SITES:
@@ -214,8 +175,6 @@ def quickexact_ground_state(
             f"{n} sites exceed the QuickExact limit of "
             f"{MAX_QUICKEXACT_SITES}"
         )
-    if not 1 <= leaf_bits <= 16:
-        raise ValueError(f"leaf_bits must be in [1, 16], got {leaf_bits}")
     model = model or EnergyModel(layout, parameters)
     stats = QuickExactStatistics(num_sites=n, search_space=1 << n)
     result = GroundStateResult(layout, total_count=1 << n, stats=stats)
@@ -227,8 +186,6 @@ def quickexact_ground_state(
 
     with obs.span("quickexact.run") as span:
         span.set("sites", n)
-        if incumbent is None and energy_pruning and n >= _INCUMBENT_MIN_SITES:
-            incumbent = _seed_incumbent(layout, model)
         incumbent_energy = (
             float("inf") if incumbent is None else float(incumbent)
         )
@@ -239,7 +196,6 @@ def quickexact_ground_state(
             order=_site_order(layout),
             require_configuration_stability=require_configuration_stability,
             energy_tolerance=energy_tolerance,
-            leaf_bits=min(leaf_bits, n),
             energy_pruning=energy_pruning,
             incumbent_energy=incumbent_energy,
             stats=stats,
@@ -260,7 +216,17 @@ def quickexact_ground_state(
 
 
 class _QuickExactSearch:
-    """One pruned depth-first search over the permuted site order."""
+    """One pruned depth-first search over frontiers of partial assignments.
+
+    A frontier is a batch of partial assignments of equal depth, held
+    as three arrays: decided occupations ``(K, depth)``, local
+    potentials of the decided negatives ``base`` ``(K, n)`` and decided
+    energies ``(K,)``.  Expanding a frontier makes both children of
+    every node (interleaved ``[likelier, other]`` per parent), applies
+    the cuts to the whole batch at once and pushes the survivors, split
+    into chunks, on a stack in reverse -- so leaves are reached in the
+    preorder of the equivalent one-node-at-a-time recursion.
+    """
 
     def __init__(
         self,
@@ -268,7 +234,6 @@ class _QuickExactSearch:
         order: np.ndarray,
         require_configuration_stability: bool,
         energy_tolerance: float,
-        leaf_bits: int,
         energy_pruning: bool,
         incumbent_energy: float,
         stats: QuickExactStatistics,
@@ -277,7 +242,6 @@ class _QuickExactSearch:
         self.order = order
         self.require_configuration_stability = require_configuration_stability
         self.tolerance = energy_tolerance
-        self.leaf_bits = leaf_bits
         self.energy_pruning = energy_pruning
         self.incumbent_energy = incumbent_energy
         self.stats = stats
@@ -297,11 +261,27 @@ class _QuickExactSearch:
             if model.external_potential is not None
             else None
         )
+        # rem[k] = potential the still-undecided sites k.. could add.
+        self.rem = np.zeros((n + 1, n))
+        self.rem[:n] = np.cumsum(self.matrix[::-1], axis=0)[::-1]
 
-        # Mutable DFS state (permuted space).
-        self.occupation = np.zeros(n, dtype=np.int8)
-        self.base = np.zeros(n)
-        self.rem = self.matrix.sum(axis=1)
+        # Every leaf sits at the same depth, so the completions and
+        # their potential contributions are computed once per search.
+        self.leaf_depth = max(0, n - _LEAF_BITS)
+        m = n - self.leaf_depth
+        bits = np.arange(1 << m)[:, None] >> np.arange(m)
+        self.suffix_occupied = bits & 1 > 0
+        self.suffix_sign = np.where(self.suffix_occupied, 1.0, -1.0)
+        self.suffix_float = self.suffix_occupied.astype(float)
+        self.suffix_potentials = (
+            self.suffix_float @ self.matrix[self.leaf_depth:, :]
+        )
+        self.suffix_pair_energy = 0.5 * np.einsum(
+            "ki,ij,kj->k",
+            self.suffix_float,
+            self.matrix[self.leaf_depth:, self.leaf_depth:],
+            self.suffix_float,
+        )
 
         self.valid_count = 0
         self.best_energy = float("inf")
@@ -322,158 +302,193 @@ class _QuickExactSearch:
 
     # --- search -----------------------------------------------------------
     def run(self) -> None:
-        self._descend(0, 0.0)
+        stack = [
+            (
+                np.zeros((1, 0), dtype=np.int8),
+                np.zeros((1, self.n)),
+                np.zeros(1),
+            )
+        ]
+        while stack:
+            occupation, base, energy = stack.pop()
+            depth = occupation.shape[1]
+            if depth == self.leaf_depth:
+                # Each leaf spans 2^m completions; keep a batch at
+                # 2^_BATCH_BITS configurations.
+                step = 1 << max(0, _BATCH_BITS - (self.n - depth))
+                for start in range(0, len(energy), step):
+                    chunk = slice(start, start + step)
+                    self._evaluate_leaves(
+                        occupation[chunk], base[chunk], energy[chunk]
+                    )
+                continue
+            occupation, base, energy = self._expand(occupation, base, energy)
+            for start in reversed(range(0, len(energy), _FRONTIER_BATCH)):
+                chunk = slice(start, start + _FRONTIER_BATCH)
+                stack.append((occupation[chunk], base[chunk], energy[chunk]))
 
-    def _descend(self, depth: int, energy_decided: float) -> None:
-        if self.n - depth <= self.leaf_bits:
-            self._evaluate_leaf(depth, energy_decided)
-            return
-        site = depth
-        base = self.base
-        rem = self.rem
-        occupation = self.occupation
-        column = self.matrix[site]
-        stats = self.stats
-        # Branch the likelier ground-state value first so the incumbent
-        # tightens as early as possible.
-        first = 1 if self.onsite[site] + base[site] <= 0.0 else 0
-        for value in (first, 1 - first):
-            stats.nodes_visited += 1
-            occupation[site] = value
-            if value:
-                child_energy = (
-                    energy_decided + self.onsite[site] + base[site]
-                )
-                base += column
-            else:
-                child_energy = energy_decided
-            rem -= column
-            try:
-                if self._cut(site, value, child_energy):
-                    continue
-                self._descend(depth + 1, child_energy)
-            finally:
-                rem += column
-                if value:
-                    base -= column
-        occupation[site] = 0
+    def _expand(
+        self, occupation: np.ndarray, base: np.ndarray, energy: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Both children of every node, minus the hopeless ones.
 
-    def _cut(self, site: int, value: int, energy_decided: float) -> bool:
-        """True when the just-extended partial assignment is hopeless."""
+        Children come out interleaved per parent, the likelier
+        ground-state value first, so the incumbent tightens as early
+        as possible.
+        """
+        count, site = occupation.shape
         decided = site + 1
-        base = self.base[:decided]
-        occupied = self.occupation[:decided] > 0
+        onsite = self.onsite[:decided]
         stats = self.stats
+        stats.nodes_visited += 2 * count
+        occupied = occupation > 0
+        # The negative child adds the site's column to every potential;
+        # the neutral child keeps the parent's.
+        negative_base = base + self.matrix[site]
+        negative_energy = energy + self.onsite[site] + base[:, site]
+
         # Witness bounds.  Assigning a negative only *raises* decided
         # potentials (base), so only the occupied-side criterion can
         # newly fail; assigning a neutral only *lowers* the attainable
         # maximum (base + rem), so only the empty-side criterion can.
-        if value:
-            minimum_w = base + self.onsite[:decided]
-            if np.any(occupied & (minimum_w > POPULATION_TOLERANCE)):
-                stats.cut_witness_occupied += 1
-                return True
-        else:
-            maximum_w = (
-                base + self.rem[:decided] + self.onsite[:decided]
-            )
-            if np.any(~occupied & (maximum_w < -POPULATION_TOLERANCE)):
-                stats.cut_witness_empty += 1
-                return True
+        minimum_w = negative_base[:, :decided] + onsite
+        cut_negative = (minimum_w[:, site] > POPULATION_TOLERANCE) | np.any(
+            occupied & (minimum_w[:, :site] > POPULATION_TOLERANCE), axis=1
+        )
+        maximum_w = base[:, :decided] + self.rem[decided, :decided] + onsite
+        cut_neutral = (maximum_w[:, site] < -POPULATION_TOLERANCE) | np.any(
+            ~occupied & (maximum_w[:, :site] < -POPULATION_TOLERANCE), axis=1
+        )
+        stats.cut_witness_occupied += int(cut_negative.sum())
+        stats.cut_witness_empty += int(cut_neutral.sum())
+        keep_negative = ~cut_negative
+        keep_neutral = ~cut_neutral
         # Branch-and-bound: undecided negatives each contribute at
         # least min(0, mu + ext + base); cross-terms among them are
         # repulsive and only add energy.
         if self.energy_pruning and self.incumbent_energy < float("inf"):
-            undecided_floor = np.minimum(
-                0.0, self.onsite[decided:] + self.base[decided:]
-            ).sum()
-            bound = energy_decided + undecided_floor
-            if bound > (
-                self.incumbent_energy
-                + self.tolerance
-                + _DECOMPOSITION_SLACK
+            ceiling = (
+                self.incumbent_energy + self.tolerance + _DECOMPOSITION_SLACK
+            )
+            undecided = self.onsite[decided:]
+            for keep, child_base, child_energy in (
+                (keep_negative, negative_base, negative_energy),
+                (keep_neutral, base, energy),
             ):
-                stats.cut_energy_bound += 1
-                return True
-        return False
+                floor = np.minimum(
+                    0.0, undecided + child_base[:, decided:]
+                ).sum(axis=1)
+                cut = keep & (child_energy + floor > ceiling)
+                stats.cut_energy_bound += int(cut.sum())
+                keep &= ~cut
 
-    def _evaluate_leaf(self, depth: int, energy_decided: float) -> None:
+        first = self.onsite[site] + base[:, site] <= 0.0
+        keep = np.empty((count, 2), dtype=bool)
+        keep[:, 0] = np.where(first, keep_negative, keep_neutral)
+        keep[:, 1] = np.where(first, keep_neutral, keep_negative)
+        kept = np.flatnonzero(keep)
+        parent = kept >> 1
+        is_negative = (kept & 1 == 0) == first[parent]
+        child_occupation = np.empty((kept.size, decided), dtype=np.int8)
+        child_occupation[:, :site] = occupation[parent]
+        child_occupation[:, site] = is_negative
+        child_base = base[parent]
+        child_base[is_negative] = negative_base[parent[is_negative]]
+        child_energy = energy[parent]
+        child_energy[is_negative] = negative_energy[parent[is_negative]]
+        return child_occupation, child_base, child_energy
+
+    def _evaluate_leaves(
+        self, occupation: np.ndarray, base: np.ndarray, energy: np.ndarray
+    ) -> None:
         n = self.n
-        remaining = n - depth
+        depth = self.leaf_depth
+        leaves = len(energy)
+        width = len(self.suffix_float)
         stats = self.stats
-        stats.leaves_evaluated += 1
-        stats.configurations_enumerated += 1 << remaining
-        suffixes = _suffix_patterns(remaining)
-        suffix_float = suffixes.astype(float)
-        # Local potentials of every completion, all n sites at once.
-        potentials = self.base[None, :] + suffix_float @ self.matrix[depth:, :]
-        w = potentials + self.onsite[None, :]
-        occupied = np.empty((len(suffixes), n), dtype=bool)
-        occupied[:, :depth] = self.occupation[:depth] > 0
-        occupied[:, depth:] = suffixes > 0
-        stable = np.all(
-            np.where(
-                occupied,
-                w <= POPULATION_TOLERANCE,
-                w >= -POPULATION_TOLERANCE,
-            ),
-            axis=1,
-        )
-        if not stable.any():
+        stats.leaves_evaluated += leaves
+        stats.configurations_enumerated += leaves * width
+        # Population stability of every completion of every leaf, all n
+        # sites at once: occupied sites need w = v + mu <= 0, empty ones
+        # w >= 0, so with the empty sites' w negated both read
+        # "<= tolerance".
+        w = base[:, None, :] + self.suffix_potentials[None, :, :]
+        w += self.onsite
+        w[:, :, :depth] *= np.where(occupation > 0, 1.0, -1.0)[:, None, :]
+        w[:, :, depth:] *= self.suffix_sign
+        stable = w.max(axis=2) <= POPULATION_TOLERANCE
+        leaf, suffix = np.nonzero(stable)
+        if not leaf.size:
             return
-        stable_rows = np.flatnonzero(stable)
-        if self.require_configuration_stability:
-            externals = (
-                self.external[None, :] if self.external is not None else 0.0
-            )
-            configuration_stable = batched_configuration_stable(
-                potentials[stable_rows] + externals,
-                occupied[stable_rows],
-                self.matrix,
-            )
-            stable_rows = stable_rows[configuration_stable]
-            self.valid_count += int(configuration_stable.sum())
-            if not stable_rows.size:
-                return
-        else:
-            self.valid_count += int(stable_rows.size)
+        potentials = base[leaf] + self.suffix_potentials[suffix]
+        occupied = np.empty((leaf.size, n), dtype=bool)
+        occupied[:, :depth] = occupation[leaf] > 0
+        occupied[:, depth:] = self.suffix_occupied[suffix]
 
-        # Decomposed energies of the surviving configurations: decided
+        # Decomposed energies of the stable configurations: decided
         # part + on-site/decided coupling of the suffix + suffix pairs.
-        chosen = suffix_float[stable_rows]
-        suffix_onsite = self.onsite[depth:] + self.base[depth:]
+        suffix_onsite = self.onsite[depth:] + base[leaf, depth:]
         energies = (
-            energy_decided
-            + chosen @ suffix_onsite
-            + 0.5
-            * np.einsum(
-                "ki,ij,kj->k", chosen, self.matrix[depth:, depth:], chosen
-            )
+            energy[leaf]
+            + np.einsum("kj,kj->k", self.suffix_float[suffix], suffix_onsite)
+            + self.suffix_pair_energy[suffix]
         )
-        window = (
-            self.best_energy + self.tolerance + _DECOMPOSITION_SLACK
-        )
-        near = energies <= window
-        if not near.any():
+        window = self.best_energy + self.tolerance + _DECOMPOSITION_SLACK
+        picked = np.arange(leaf.size)
+        if self.energy_pruning:
+            # Nothing above the window can join the degenerate set, so
+            # the O(n^2) configuration check only sees the rest.
+            picked = picked[energies <= window]
+            picked = self._count_valid(picked, potentials, occupied)
+        else:
+            # Count every valid configuration first (then valid_count
+            # equals the exhaustive engine's), window afterwards.
+            picked = self._count_valid(picked, potentials, occupied)
+            picked = picked[energies[picked] <= window]
+        if not picked.size:
             return
+        occupied, leaf = occupied[picked], leaf[picked]
+
         # Exact recomputation (identical arithmetic to the exhaustive
-        # engine) for everything that could join the degenerate set.
-        near_rows = stable_rows[near]
-        originals = np.empty((len(near_rows), n), dtype=np.int8)
-        originals[:, self.order] = occupied[near_rows].astype(np.int8)
+        # engine) for everything that could join the degenerate set,
+        # fed in leaf order, then by exact energy within a leaf.
+        originals = np.empty((leaf.size, n), dtype=np.int8)
+        originals[:, self.order] = occupied
         exact = self.model.batched_energies(originals)
-        for position in np.argsort(exact, kind="stable"):
-            energy = float(exact[position])
-            if energy > self.best_energy + self.tolerance:
-                break
-            if energy < self.best_energy - self.tolerance:
-                self.best_energy = energy
-                self.candidates = [(originals[position].copy(), energy)]
+        for position in np.lexsort((exact, leaf)):
+            value = float(exact[position])
+            if value > self.best_energy + self.tolerance:
+                continue
+            if value < self.best_energy - self.tolerance:
+                self.best_energy = value
+                self.candidates = [(originals[position].copy(), value)]
             else:
-                self.best_energy = min(self.best_energy, energy)
-                self.candidates.append(
-                    (originals[position].copy(), energy)
-                )
+                self.best_energy = min(self.best_energy, value)
+                self.candidates.append((originals[position].copy(), value))
         if self.best_energy < self.incumbent_energy:
             self.incumbent_energy = self.best_energy
             self.stats.incumbent_energy = self.best_energy
+
+    def _count_valid(
+        self, picked: np.ndarray, potentials: np.ndarray, occupied: np.ndarray
+    ) -> np.ndarray:
+        """The configuration-stable ``picked`` rows, counted as valid.
+
+        The check materializes n x n hop energies per configuration, so
+        it runs in slices of 2^_BATCH_BITS / n configurations.
+        """
+        if self.require_configuration_stability and picked.size:
+            externals = 0.0 if self.external is None else self.external
+            step = max(1, (1 << _BATCH_BITS) // self.n)
+            picked = np.concatenate([
+                chunk[
+                    batched_configuration_stable(
+                        potentials[chunk] + externals,
+                        occupied[chunk],
+                        self.matrix,
+                    )
+                ]
+                for chunk in np.split(picked, range(step, picked.size, step))
+            ])
+        self.valid_count += int(picked.size)
+        return picked

@@ -27,8 +27,9 @@ _PROGRAM_VERSION = "1.0.0"
 #: Version of the ``.sqd`` serialization itself.  Part of the design-
 #: service cache digest: bump it whenever :func:`write_sqd` changes its
 #: output bytes, so cached artifacts are re-generated rather than served
-#: with a stale layout encoding.
-SQD_WRITER_VERSION = _PROGRAM_VERSION
+#: with a stale layout encoding.  Independent of the ``<version>`` the
+#: document header carries.
+SQD_WRITER_VERSION = "2"
 
 
 #: Characters XML 1.0 forbids in a document.
@@ -38,16 +39,16 @@ _NOT_XML_CHAR = re.compile(
 
 
 def _escape(text: str) -> str:
-    """Escape ``& < " >``; tab, newline and CR stay raw, even in attributes.
+    """Escape ``& < " >``, and tab, newline and CR as character references.
 
-    This pins the bytes the ElementTree + Python 3.11 ``minidom`` writer
-    produced (the oracle in ``tests/test_file_formats.py``).  A reader
-    normalizes a raw newline/tab/CR in the design-name attribute to a
-    space; nothing in the flow reads the name back.
+    A raw tab, newline or CR inside an attribute value is normalized to
+    a space by every XML reader; as ``&#9;``/``&#10;``/``&#13;`` it
+    reads back as itself.
     """
     return (
         text.replace("&", "&amp;").replace("<", "&lt;")
         .replace('"', "&quot;").replace(">", "&gt;")
+        .replace("\t", "&#9;").replace("\n", "&#10;").replace("\r", "&#13;")
     )
 
 

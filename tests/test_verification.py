@@ -10,7 +10,8 @@ from repro.layout.gate_layout import (
     cross_tile,
     wire_tile,
 )
-from repro.networks import benchmark_network
+from repro.flow.design_flow import design_sidb_circuit
+from repro.networks import benchmark_network, benchmark_verilog
 from repro.networks.logic_network import GateType, LogicNetwork
 from repro.networks.truth_table import TruthTable
 from repro.networks.xag import Xag
@@ -18,6 +19,7 @@ from repro.synthesis import NpnDatabase, cut_rewrite, map_to_bestagon
 from repro.physical_design import ExactPhysicalDesign
 from repro.verification import (
     ExtractionError,
+    bdd_equivalent,
     check_equivalence,
     check_layout_against_network,
     extract_network,
@@ -191,3 +193,51 @@ class TestLayoutEquivalence:
             map_to_bestagon(cut_rewrite(xag, _DB))
         )
         assert check_layout_against_network(xag, layout).equivalent
+
+
+#: Table-1 rows that place exactly at the flow's default conflict budget.
+_TABLE1_EXACT = (
+    "xor2", "xnor2", "par_gen", "mux21", "par_check", "xor5_r1",
+    "xor5_majority", "t", "t_5", "c17", "majority",
+)
+
+
+def _in_pin_order(network, reference):
+    """``network`` renumbered so its PIs/POs follow ``reference``'s names.
+
+    ``bdd_equivalent`` pairs pins by position, while an extracted
+    layout lists them in placement order.
+    """
+    def names(nodes):
+        return [reference.node_name(node) for node in nodes]
+
+    by_name = {network.node_name(node): node for node in network.nodes()}
+    pis = [by_name[name] for name in names(reference.pis())]
+    pos = [by_name[name] for name in names(reference.pos())]
+    inner = [
+        node for node in network.nodes()
+        if network.gate_type(node) not in (GateType.PI, GateType.PO)
+    ]
+    renumbered = LogicNetwork(network.name)
+    new_id = {}
+    for node in pis + inner + pos:
+        new_id[node] = renumbered.add_node(
+            network.gate_type(node),
+            [new_id[fanin] for fanin in network.fanins(node)],
+            network.node_name(node),
+        )
+    return renumbered
+
+
+class TestTable1CrossCheck:
+    """The SAT miter and the BDD canonical form agree on Table 1."""
+
+    @pytest.mark.parametrize("name", _TABLE1_EXACT)
+    def test_sat_miter_and_bdd_agree(self, name):
+        result = design_sidb_circuit(benchmark_verilog(name), name)
+        spec, layout = result.specification, result.layout
+        assert check_layout_against_network(spec, layout).equivalent
+        extracted = _in_pin_order(
+            extract_network(layout), network_from_xag(spec)
+        )
+        assert bdd_equivalent(spec, extracted)
