@@ -8,11 +8,17 @@ module provides the plumbing: picklable task records, an ordered
 ``workers <= 1`` (the default, keeping CI deterministic and fork-free),
 and a process-parallel driver for the annealer itself.
 
+A task need not be a single simulation: the operational check ships
+the SimAnneal patterns of equal site count as one task, which anneals
+them in one lockstep batch (:func:`repro.sidb.simanneal.anneal_lockstep`),
+so serial and parallel runs take the same path.
+
 Because the annealer derives per-instance random streams from
 ``SeedSequence(seed).spawn(instances)`` (see
 :mod:`repro.sidb.simanneal`), splitting instances across worker
-processes yields *bit-identical* results to a single-process run -- the
-merge in :meth:`SimAnneal.collect_result` is order-invariant.
+processes -- or batching patterns together -- yields *bit-identical*
+results to a single-process, one-pattern run; the merge in
+:meth:`SimAnneal.collect_result` is order-invariant.
 """
 
 from __future__ import annotations

@@ -202,31 +202,44 @@ _TABLE1_EXACT = (
 )
 
 
-def _in_pin_order(network, reference):
-    """``network`` renumbered so its PIs/POs follow ``reference``'s names.
-
-    ``bdd_equivalent`` pairs pins by position, while an extracted
-    layout lists them in placement order.
-    """
-    def names(nodes):
-        return [reference.node_name(node) for node in nodes]
-
-    by_name = {network.node_name(node): node for node in network.nodes()}
-    pis = [by_name[name] for name in names(reference.pis())]
-    pos = [by_name[name] for name in names(reference.pos())]
-    inner = [
-        node for node in network.nodes()
-        if network.gate_type(node) not in (GateType.PI, GateType.PO)
-    ]
-    renumbered = LogicNetwork(network.name)
+def _with_inverted_output(network, output):
+    """``network`` with an inverter in front of its ``output``-th PO."""
+    inverted = LogicNetwork(network.name)
     new_id = {}
-    for node in pis + inner + pos:
-        new_id[node] = renumbered.add_node(
-            network.gate_type(node),
-            [new_id[fanin] for fanin in network.fanins(node)],
-            network.node_name(node),
+    po = network.pos()[output]
+    for node in network.nodes():
+        fanins = [new_id[fanin] for fanin in network.fanins(node)]
+        if node == po:
+            fanins = [inverted.add_node(GateType.INV, fanins)]
+        new_id[node] = inverted.add_node(
+            network.gate_type(node), fanins, network.node_name(node)
         )
-    return renumbered
+    return inverted
+
+
+class TestBddPinPairing:
+    """``bdd_equivalent`` pairs pins by name, like the SAT miter."""
+
+    @pytest.mark.parametrize("name", ["mux21", "c17"])
+    def test_extracted_layout_is_equivalent(self, name):
+        result = design_sidb_circuit(benchmark_verilog(name), name)
+        spec = result.specification
+        extracted = extract_network(result.layout)
+        assert bdd_equivalent(spec, extracted)
+        for output in range(len(extracted.pos())):
+            assert not bdd_equivalent(
+                spec, _with_inverted_output(extracted, output)
+            )
+
+    def test_unnamed_pins_pair_by_position(self):
+        a = LogicNetwork("a")
+        x, y = a.add_pi(), a.add_pi()
+        a.add_po(a.add_node(GateType.AND2, [x, y]))
+        b = LogicNetwork("b")
+        x, y = b.add_pi(), b.add_pi()
+        b.add_po(b.add_node(GateType.OR2, [x, y]))
+        assert bdd_equivalent(a, a)
+        assert not bdd_equivalent(a, b)
 
 
 class TestTable1CrossCheck:
@@ -237,7 +250,4 @@ class TestTable1CrossCheck:
         result = design_sidb_circuit(benchmark_verilog(name), name)
         spec, layout = result.specification, result.layout
         assert check_layout_against_network(spec, layout).equivalent
-        extracted = _in_pin_order(
-            extract_network(layout), network_from_xag(spec)
-        )
-        assert bdd_equivalent(spec, extracted)
+        assert bdd_equivalent(spec, extract_network(layout))
