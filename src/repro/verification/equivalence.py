@@ -76,11 +76,16 @@ def check_equivalence(
     return EquivalenceResult(False, counterexample, solver.conflicts)
 
 
-def _match_pins(
+def match_pins(
     spec_names: list[str | None], layout_names: list[str | None]
 ) -> list[int] | None:
-    """Spec-pin-index -> layout-pin-index mapping by name, if possible."""
+    """Spec-pin-index -> layout-pin-index mapping by name, if possible.
+
+    Possible when both sides name the same set of distinct pins.
+    """
     if None in spec_names or None in layout_names:
+        return None
+    if len(set(spec_names)) != len(spec_names):
         return None
     if sorted(spec_names) != sorted(layout_names):
         return None
@@ -109,11 +114,11 @@ def check_layout_against_network(
 
     spec_pi_names = [spec_net.node_name(pi) for pi in spec_net.pis()]
     layout_pi_names = [extracted.node_name(pi) for pi in extracted.pis()]
-    pi_permutation = _match_pins(spec_pi_names, layout_pi_names)
+    pi_permutation = match_pins(spec_pi_names, layout_pi_names)
 
     spec_po_names = [spec_net.node_name(po) for po in spec_net.pos()]
     layout_po_names = [extracted.node_name(po) for po in extracted.pos()]
-    po_permutation = _match_pins(spec_po_names, layout_po_names)
+    po_permutation = match_pins(spec_po_names, layout_po_names)
 
     return check_equivalence(
         spec_net, extracted, pi_permutation, po_permutation, conflict_limit

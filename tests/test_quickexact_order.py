@@ -1,6 +1,6 @@
 """QuickExact's *ordered* ground-state list is pinned.
 
-``simulate_pattern`` reads a tile's output from ``ground_states[0]``,
+``check_operational`` reads a tile's output from ``ground_states[0]``,
 so the engine must return its degenerate ground states in a fixed
 order, not merely as a fixed set.  The golden
 (``tests/golden/quickexact_library.json``) stores, for every input
